@@ -2,11 +2,11 @@
 
 Regenerates the named figures at quick scale through
 ``repro.experiments.figures`` with the seed-derived cluster seed, and
-writes a JSON document with the figure series, the wall time of the
-pass and of every simulated experiment (each ``Environment`` is one
-experiment), the simulated operations each experiment completed, and
-the process's peak RSS. Prints ``ready`` once the imports are done so
-the parent can time set-up.
+writes a JSON document with the figure series, the wall and CPU time of
+the pass, the CPU time of every simulated experiment (each
+``Environment`` is one experiment), the simulated operations each
+experiment completed, and the process's peak RSS. Prints ``ready`` and
+the CPU seconds its imports took once they are done.
 
 ``--trace probe`` installs the layer probes and hands the figure
 functions a metrics-only observability bundle (kernel, allocator and
@@ -44,17 +44,17 @@ BASE_CLUSTER_SEED = ExperimentConfig().cluster.seed
 
 
 class Experiments:
-    """Wall time and completed simulated ops of every experiment, split
+    """CPU time and completed simulated ops of every experiment, split
     at each ``Environment`` construction."""
 
     def __init__(self) -> None:
-        self.rows = []  # [wall_s, {kind: ops}]
+        self.rows = []  # [cpu_s, {kind: ops}]
         self._t0 = None
         self._ops = {}
 
     def begin(self) -> None:
         self.close()
-        self._t0 = time.perf_counter()
+        self._t0 = time.process_time()
         self._ops = {}
 
     def op(self, kind: str) -> None:
@@ -62,7 +62,7 @@ class Experiments:
 
     def close(self) -> None:
         if self._t0 is not None:
-            self.rows.append([time.perf_counter() - self._t0, self._ops])
+            self.rows.append([time.process_time() - self._t0, self._ops])
             self._t0 = None
 
     def install(self) -> None:
@@ -130,7 +130,7 @@ def run_pass(fig_ids, seed_index: int, trace: str) -> dict:
 
         profiler = cProfile.Profile()
     series = {}
-    t_pass = time.perf_counter()
+    t_pass, cpu_pass = time.perf_counter(), time.process_time()
     for fig_id in fig_ids:
         fn = figures.ALL_FIGURES[fig_id]
         if profiler is not None:
@@ -143,6 +143,7 @@ def run_pass(fig_ids, seed_index: int, trace: str) -> dict:
     doc = {
         "series": series,
         "pass_wall_s": time.perf_counter() - t_pass,
+        "pass_cpu_s": time.process_time() - cpu_pass,
         "experiments": tracker.rows,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default="")
     args = parser.parse_args(argv)
-    print("ready", flush=True)
+    print(f"ready {time.process_time():.6f}", flush=True)
     if not args.figs:
         return 0  # set-up probe only
     doc = run_pass(args.figs.split(","), args.seed_index, args.trace)

@@ -1,15 +1,16 @@
 """Traced host for the live path: ``repro-serve`` plus layer probes.
 
-Builds the same :class:`~repro.server.app.BlobServer` as
-``repro-serve`` (observability on, same arguments) and, with ``--mode
-probe``, wraps the entry points of its layers with a
-:class:`layers.Probe`, or, with ``--mode profile``, profiles the
-event-loop thread (the two are kept apart so the profiler's cost does
-not inflate the probes' busy times). The load generator marks the
-timed window with SIGUSR1 (start) and SIGUSR2 (stop). On SIGTERM the
-server stops gracefully and the window's figures are written to
-``--stats-out``; like ``repro-serve``, the exit code is 1 when lease
-timers survive the stop. Usage::
+Builds a :class:`~repro.server.app.BlobServer` as ``repro-serve`` does
+when given only a port and seed (observability on, every other argument
+left at its default) and, with ``--mode probe``, wraps the entry points
+of its layers with a :class:`layers.Probe`, or, with ``--mode profile``,
+profiles the event-loop thread (the two are kept apart so the
+profiler's cost does not inflate the probes' busy times). The load
+generator marks its timed work (the read scan and the append window)
+with SIGUSR1 (start) and SIGUSR2 (stop). On SIGTERM the server stops
+gracefully and the window's figures are written to ``--stats-out``;
+like ``repro-serve``, the exit code is 1 when lease timers survive the
+stop. Usage::
 
     python3 perfbench/host.py --mode probe --port 0 --seed 1 --stats-out stats.json
 """
@@ -84,7 +85,6 @@ async def serve(args) -> int:
     server = BlobServer(
         host="127.0.0.1",
         port=args.port,
-        n_providers=args.providers,
         seed=args.seed,
         obs=Observability.on(),
     )
@@ -112,7 +112,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--mode", choices=("probe", "profile"), required=True)
     parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--providers", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--stats-out", required=True)
     args = parser.parse_args(argv)

@@ -1,26 +1,26 @@
-"""Closed-loop HTTP load generator for the live-path workloads.
+"""Closed-loop HTTP load generator for the live-path workload.
 
 Runs as its own process, separate from the server under test, with two
-keep-alive connections (one per core of the two-core host the workloads
-are sized for) opened before the first timed operation. Phases:
+keep-alive connections (one per core of the two-core host the workload
+is sized for) opened before the first timed operation. One run is one
+fixed-work round on a fresh server:
 
 1. connect, create the shared file, and append the starting history
    (``--history`` records, on connection 0);
-2. ``append`` mode only: a timed scan of the starting history,
-   SCAN_READS 64 KiB ranged reads over both connections;
-3. the timed window (``--seconds``): ``append`` mode appends on both
-   connections; ``read_append`` mode appends on connection 0 and issues
-   seeded random 64 KiB ranged reads of the preloaded region on
-   connection 1;
-4. the final file read back in one request, and the integrity checks:
-   every acknowledged record exactly once and intact, every ranged read
-   equal to the final bytes over its range.
+2. a timed scan: ``--scan-reads`` 64 KiB ranged reads at seeded random
+   offsets of the starting history, over both connections;
+3. the timed window: ``--appends`` appends over both connections;
+4. the server's resident memory, then the final file read back in one
+   request, and the integrity checks: every acknowledged record exactly
+   once and intact, every ranged read whole and equal to the final
+   bytes over its range.
 
-With ``--preload-only`` it stops after phase 1 (the benchmark repeats
-its set-up this way). Writes one JSON document to ``--out``. Usage::
+Around the set-up, the scan and the window it reads the server's CPU
+time from ``/proc/<server-pid>/stat``. Writes one JSON document to
+``--out``. Usage::
 
-    python3 perfbench/loadgen.py --port 8070 --mode append --seed 1 \\
-        --seconds 10 --history 200 --out result.json
+    python3 perfbench/loadgen.py --port 8070 --server-pid 4242 --seed 1 \\
+        --history 200 --scan-reads 1500 --appends 1000 --out result.json
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ FILE_PATH = "/bench/shared"
 #: ranged-read size of both workloads (fig4/fig5-style reads)
 READ_BYTES = 64 * 1024
 CONNECTIONS = 2
-#: reads of the timed scan in ``append`` mode (several seconds of them,
-#: so a short slow spell of the host does not decide the result)
-SCAN_READS = 6000
 
 
 class Conn:
@@ -125,9 +122,9 @@ async def _append_until(
     tally: Tally,
     stop,
     lat_ms: Optional[List[float]],
-    on_ack=None,
 ) -> None:
-    """Closed loop: append on *conn* until ``stop()`` is true."""
+    """Closed loop: append on *conn* until ``stop()`` is true (checked
+    before each append)."""
     while not stop():
         t0 = time.perf_counter()
         try:
@@ -136,71 +133,81 @@ async def _append_until(
             return
         if ok and lat_ms is not None:
             lat_ms.append((time.perf_counter() - t0) * 1e3)
-            if on_ack is not None:
-                on_ack()
 
 
-async def _read_until(
+async def _ranged_read(
     conn: Conn,
-    rng: random.Random,
-    span: int,
+    offset: int,
+    length: int,
     tally: Tally,
-    deadline: float,
     lat_ms: List[float],
     reads: List[Tuple[int, int, int]],
-) -> None:
-    """Closed loop: random ranged reads of ``[0, span)`` until *deadline*."""
-    while time.perf_counter() < deadline:
-        offset = rng.randrange(0, span - READ_BYTES + 1)
-        t0 = time.perf_counter()
-        try:
-            status, body = await conn.request(
-                "GET", f"/fs/files{FILE_PATH}?offset={offset}&length={READ_BYTES}"
-            )
-        except TRANSPORT_ERRORS as exc:
-            tally.transport_error(exc)
-            return
-        dt = (time.perf_counter() - t0) * 1e3
-        if tally.status(status) and len(body) == READ_BYTES:
-            lat_ms.append(dt)
-            reads.append((offset, READ_BYTES, zlib.crc32(body)))
+    problems: List[str],
+) -> bool:
+    """One timed ranged read. A whole body is kept for the final-bytes
+    check; a 2xx body of the wrong length is a problem. False when the
+    connection broke."""
+    t0 = time.perf_counter()
+    try:
+        status, body = await conn.request(
+            "GET", f"/fs/files{FILE_PATH}?offset={offset}&length={length}"
+        )
+    except TRANSPORT_ERRORS as exc:
+        tally.transport_error(exc)
+        return False
+    dt = (time.perf_counter() - t0) * 1e3
+    if not tally.status(status):
+        return True
+    if len(body) != length:
+        problems.append(
+            f"read of {length} bytes at offset {offset} answered "
+            f"{status} with {len(body)} bytes"
+        )
+        return True
+    lat_ms.append(dt)
+    reads.append((offset, length, zlib.crc32(body)))
+    return True
 
 
 async def _scan(
     conns: List[Conn],
-    span: int,
+    server_pid: int,
+    offsets: List[int],
     tally: Tally,
     out: Dict[str, object],
     reads: List[Tuple[int, int, int]],
+    problems: List[str],
 ) -> None:
-    """Timed scan: SCAN_READS ranged reads cycling over ``[0, span)``,
-    the connections in closed loops taking alternate ranges, so the
-    server always has a request queued. A fixed count keeps both the
-    work and the server state it leaves behind equal across runs."""
-    ranges = [
-        (off, min(READ_BYTES, span - off)) for off in range(0, span, READ_BYTES)
-    ]
+    """Timed scan: a 64 KiB ranged read at each of *offsets*, the
+    connections in closed loops taking alternate offsets, so the server
+    always has a request queued. A fixed list keeps both the work and
+    the server state it leaves behind equal across runs of a seed.
+    Records the scan's wall time and the CPU time server *server_pid*
+    spent in it."""
     scan_ms: List[float] = []
 
     async def part(conn: Conn, first: int) -> None:
-        for i in range(first, SCAN_READS, CONNECTIONS):
-            offset, length = ranges[i % len(ranges)]
-            t0 = time.perf_counter()
-            try:
-                status, body = await conn.request(
-                    "GET", f"/fs/files{FILE_PATH}?offset={offset}&length={length}"
-                )
-            except TRANSPORT_ERRORS as exc:
-                tally.transport_error(exc)
+        for offset in offsets[first::CONNECTIONS]:
+            if not await _ranged_read(
+                conn, offset, READ_BYTES, tally, scan_ms, reads, problems
+            ):
                 return
-            if tally.status(status) and len(body) == length:
-                scan_ms.append((time.perf_counter() - t0) * 1e3)
-                reads.append((offset, length, zlib.crc32(body)))
 
     t0 = time.perf_counter()
+    cpu0 = _cpu_s(server_pid)
     await asyncio.gather(*(part(c, cid) for cid, c in enumerate(conns)))
     out["scan_s"] = time.perf_counter() - t0
+    out["scan_cpu_s"] = _cpu_s(server_pid) - cpu0
     out["scan_ms"] = scan_ms
+
+
+def _cpu_s(pid: int) -> float:
+    """User plus system CPU seconds of process *pid*, all threads. Time
+    the hypervisor gives to other guests (steal) is not in it, so unlike
+    wall time it does not grow when a shared host is oversubscribed."""
+    with open(f"/proc/{pid}/stat") as fp:
+        fields = fp.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 def _rss_mib(pid: int) -> float:
@@ -219,9 +226,8 @@ async def _metrics(conn: Conn) -> Dict[str, object]:
 
 
 async def run(args) -> Dict[str, object]:
-    out: Dict[str, object] = {"mode": args.mode}
+    out: Dict[str, object] = {}
     setup, window, scan = Tally(), Tally(), Tally()
-    t_start = time.perf_counter()
     conns: List[Conn] = []
     for _ in range(CONNECTIONS):
         try:
@@ -232,7 +238,6 @@ async def run(args) -> Dict[str, object]:
             setup.refused(exc)
             continue
         conns.append(Conn(reader, writer))
-    out["connect_s"] = time.perf_counter() - t_start
     if len(conns) < CONNECTIONS:
         for c in conns:
             await c.close()
@@ -257,57 +262,58 @@ async def _drive(args, conns, out, setup, window, scan):
     # -- preload: the workload's starting history -------------------------
     # one connection, so the history's cost does not depend on how two
     # appenders happened to interleave
-    t0 = time.perf_counter()
     await _append_until(
         conns[0], 0, app, setup, lambda: len(app.acked) >= args.history, None
     )
-    out["preload_s"] = time.perf_counter() - t0
-    preload_bytes = len(app.acked) * RECORD_BYTES
-    out["t_first_timed"] = time.perf_counter()
-    if args.preload_only:
-        out["problems"] = []
+    if len(app.acked) < args.history:
+        out["problems"] = [
+            f"preload acknowledged {len(app.acked)} of {args.history} appends"
+        ]
         out["tallies"] = {"setup": setup.to_dict()}
         return out
+    preload_bytes = len(app.acked) * RECORD_BYTES
+    out["t_first_timed"] = time.perf_counter()
+    # set-up work: the server's CPU since it started plus this process's
+    out["setup_cpu_s"] = _cpu_s(args.server_pid) + time.process_time()
 
+    problems: List[str] = []
     reads: List[Tuple[int, int, int]] = []
-    if args.mode == "append":
-        await _scan(conns, preload_bytes, scan, out, reads)
-
-    # -- timed window -----------------------------------------------------
-    if args.server_pid:
+    if args.signal_host:
         os.kill(args.server_pid, signal.SIGUSR1)  # traced host: start
         await asyncio.sleep(0.1)
         out["metrics_before"] = await _metrics(conns[0])
+    rng = random.Random(f"reads:{args.seed}")
+    offsets = [
+        rng.randrange(0, preload_bytes - READ_BYTES + 1)
+        for _ in range(args.scan_reads)
+    ]
+    await _scan(
+        conns, args.server_pid, offsets, scan, out, reads, problems
+    )
+
+    # -- timed window: a fixed number of appends ----------------------------
     append_ms: List[float] = []
-    read_ms: List[float] = []
+    issued = 0
+
+    def appends_done() -> bool:
+        # claims the next append of the window's budget, if any is left
+        nonlocal issued
+        if issued >= args.appends:
+            return True
+        issued += 1
+        return False
+
     t_window = time.perf_counter()
-    deadline = t_window + args.seconds
-    stop = lambda: time.perf_counter() >= deadline  # noqa: E731
-
-    def on_ack() -> None:
-        # a fixed-work point: server memory after the window's first
-        # --checkpoint appends
-        if len(append_ms) == args.checkpoint and args.rss_pid:
-            out["checkpoint_rss_mib"] = _rss_mib(args.rss_pid)
-
-    if args.mode == "append":
-        loops = [
-            _append_until(c, cid, app, window, stop, append_ms, on_ack)
-            for cid, c in enumerate(conns)
-        ]
-    else:
-        rng = random.Random(f"reads:{args.seed}")
-        loops = [
-            _append_until(conns[0], 0, app, window, stop, append_ms, on_ack),
-            _read_until(
-                conns[1], rng, preload_bytes, window, deadline, read_ms, reads
-            ),
-        ]
-    await asyncio.gather(*loops)
+    cpu0 = _cpu_s(args.server_pid)
+    await asyncio.gather(*(
+        _append_until(c, cid, app, window, appends_done, append_ms)
+        for cid, c in enumerate(conns)
+    ))
     out["window_s"] = time.perf_counter() - t_window
+    out["window_cpu_s"] = _cpu_s(args.server_pid) - cpu0
     out["append_ms"] = append_ms
-    out["read_ms"] = read_ms
-    if args.server_pid:
+    out["rss_mib"] = _rss_mib(args.server_pid)
+    if args.signal_host:
         out["metrics_after"] = await _metrics(conns[0])
         os.kill(args.server_pid, signal.SIGUSR2)  # traced host: stop
         await asyncio.sleep(0.1)
@@ -315,7 +321,7 @@ async def _drive(args, conns, out, setup, window, scan):
     # -- read back the final file ------------------------------------------
     status, body = await conns[0].request("GET", f"/fs/stat{FILE_PATH}")
     if not scan.status(status):
-        out["problems"] = [f"stat answered {status}"]
+        out["problems"] = problems + [f"stat answered {status}"]
         out["tallies"] = _tallies(setup, window, scan)
         return out
     size = json.loads(body)["size"]
@@ -329,14 +335,12 @@ async def _drive(args, conns, out, setup, window, scan):
     else:
         scan.status(status)
 
-    problems = []
     if len(final) != size:
         problems.append(f"read-back returned {len(final)} of {size} bytes")
     problems += check_records(final, args.seed, app.acked, app.unknown)
     problems += check_reads(final, reads)
     out["problems"] = problems
     out["appends_acked"] = len(app.acked)
-    out["file_bytes"] = size
     out["tallies"] = _tallies(setup, window, scan)
     return out
 
@@ -353,30 +357,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument(
-        "--mode", choices=("append", "read_append"), required=True
-    )
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--history", type=int, required=True)
-    parser.add_argument("--out", required=True)
-    parser.add_argument(
-        "--checkpoint",
-        type=int,
-        default=0,
-        help="record --rss-pid's resident memory at this many "
-        "acknowledged window appends",
-    )
-    parser.add_argument("--rss-pid", type=int, default=0)
-    parser.add_argument(
-        "--preload-only",
-        action="store_true",
-        help="stop after the starting history (a repeated set-up)",
-    )
-    parser.add_argument(
         "--server-pid",
         type=int,
-        default=0,
-        help="signal this traced host at the window's start and end",
+        required=True,
+        help="the server process, whose resident memory is read after "
+        "the window",
+    )
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--history", type=int, required=True)
+    parser.add_argument("--scan-reads", type=int, required=True)
+    parser.add_argument("--appends", type=int, required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument(
+        "--signal-host",
+        action="store_true",
+        help="signal the traced host at the start and end of the timed "
+        "work (scan and window)",
     )
     args = parser.parse_args(argv)
     result = asyncio.run(run(args))

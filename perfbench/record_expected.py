@@ -5,7 +5,7 @@ so a change that alters what the simulator computes fails the
 benchmark. Re-record only when a change to the simulated model is
 intended, and say so in the change. Usage (from the repository root)::
 
-    python3 perfbench/record_expected.py [--jobs 2]
+    python3 perfbench/record_expected.py
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ sys.path.insert(0, HERE)
 from run import DES_SEEDS, EXPECTED_PATH, WORKLOADS  # noqa: E402
 
 FIGS = [fig for spec in WORKLOADS.values() for fig in spec.get("figs", [])]
+#: figure processes run at once (one per core of a two-core host)
+JOBS = 2
 
 
 def record(seed_index: int, tmp: str) -> dict:
@@ -40,11 +42,9 @@ def record(seed_index: int, tmp: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--jobs", type=int, default=2)
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args(argv)
     with tempfile.TemporaryDirectory(dir=os.path.dirname(HERE)) as tmp:
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             docs = list(pool.map(lambda i: record(i, tmp), range(DES_SEEDS)))
     expected = {str(i): doc for i, doc in enumerate(docs)}
     with open(EXPECTED_PATH, "w") as fp:

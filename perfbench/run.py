@@ -2,20 +2,23 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload http_append --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload http_append --seed 1 --seconds 10 --trace 0
 
-Workloads (notes in ``perfbench/workloads.json``):
+Workloads (notes in ``perfbench/notes.json``):
 
-* ``http_append`` — two connections append 4 KiB records to one shared
-  BSFS file on a fresh ``repro-serve``;
-* ``http_read_append`` — one connection appends while another issues
-  random 64 KiB ranged reads of a long preloaded history;
+* ``http_append`` — two connections read 64 KiB ranges of a preloaded
+  history, then append 4 KiB records to the same shared BSFS file, on a
+  fresh ``repro-serve``;
 * ``des_closed_loop`` — fig3–fig7 at quick scale;
 * ``des_open_loop`` — fig8 at quick scale.
 
-With ``--trace 0`` the last stdout line is a JSON object with every
-end-to-end metric; with ``--trace 1`` it carries every per-layer metric
-(``perfbench/notes.json`` defines each). The command exits non-zero
+A run repeats fixed-work rounds (HTTP: a fresh server each) or figure
+passes (DES) until ``--seconds`` of timed work have passed and reports
+medians. With ``--trace 0`` the last stdout line is a JSON object with
+every end-to-end metric; with ``--trace 1`` it carries every per-layer
+metric (``perfbench/notes.json`` defines each). End-to-end timings are
+CPU time of the process under test; wall-clock rates and latency
+percentiles are printed above the JSON line. The command exits non-zero
 when a correctness check fails or the program under test is missing.
 """
 
@@ -37,20 +40,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 from layers import LAYERS  # noqa: E402
-from stats import percentile, tail_percentile, weighted_percentile  # noqa: E402
+from stats import percentile, tail_percentile  # noqa: E402
 
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 PY = sys.executable
 
 WORKLOADS: Dict[str, Dict[str, object]] = {
-    # checkpoint: the window append count at which rss_mib is taken, so
-    # it compares equal histories across runs
+    # one round: a fresh server, *history* preloaded records, then
+    # *scan_reads* timed reads and a window of *appends*
     "http_append": {
-        "kind": "http", "mode": "append", "history": 200, "checkpoint": 2000,
-    },
-    "http_read_append": {
-        "kind": "http", "mode": "read_append", "history": 1000, "checkpoint": 800,
+        "kind": "http", "history": 200, "scan_reads": 1500, "appends": 1000,
     },
     "des_closed_loop": {
         "kind": "des",
@@ -59,13 +59,14 @@ WORKLOADS: Dict[str, Dict[str, object]] = {
     "des_open_loop": {"kind": "des", "figs": ["fig8"]},
 }
 
+#: end-to-end metrics; every timing is CPU time of the processes under
+#: test, which leaves out the time a shared host's hypervisor gives to
+#: other guests (wall-clock figures are printed in the report lines)
 END_TO_END = {
-    "append_ops_s": "1/s",
-    "append_p50_ms": "ms",
-    "read_ops_s": "1/s",
-    "read_p50_ms": "ms",
+    "append_cpu_ms": "ms",
+    "read_cpu_ms": "ms",
+    "cpu_s": "s",
     "rss_mib": "MiB",
-    "wall_s": "s",
     "setup_s": "s",
 }
 
@@ -113,9 +114,9 @@ PER_LAYER: Dict[str, str] = {
     "trace_overhead": "x",
 }
 
-#: HTTP set-up (fresh server, connections, starting history) is done
-#: this many times per run; the last one is measured, medians reported
-SETUPS = 3
+#: fixed-work HTTP rounds per run, at least (more while --seconds of
+#: timed work have not passed); medians over the rounds are reported
+MIN_ROUNDS = 3
 #: DES set-up samples per run (median reported)
 MIN_SETUP_SAMPLES = 3
 #: supported DES seeds: ``--seed n`` runs seed index ``n % DES_SEEDS``
@@ -222,37 +223,31 @@ class Server:
 # -- live path ----------------------------------------------------------------
 
 
-def _http_phase(
+def _http_round(
     kids: Children,
     tmp: str,
     spec,
     seed: int,
-    seconds: float,
     host_mode: Optional[str] = None,
-    preload_only: bool = False,
-    checkpoint: int = 0,
 ) -> Tuple[dict, Optional[dict]]:
-    """Boot a server (``repro-serve``, or the traced host in
-    *host_mode*), drive one load-generator run, stop the server."""
+    """Boot a fresh server (``repro-serve``, or the traced host in
+    *host_mode*), drive one fixed-work load-generator round, stop the
+    server."""
     stats_out = os.path.join(tmp, "host.json")
     server = Server(kids, seed, host_mode, stats_out)
     out = os.path.join(tmp, "loadgen.json")
     args = [
         PY, os.path.join(HERE, "loadgen.py"),
         "--port", str(server.port),
-        "--mode", str(spec["mode"]),
+        "--server-pid", str(server.proc.pid),
         "--seed", str(seed),
-        "--seconds", repr(seconds),
         "--history", str(spec["history"]),
+        "--scan-reads", str(spec["scan_reads"]),
+        "--appends", str(spec["appends"]),
         "--out", out,
     ]
     if host_mode is not None:
-        args += ["--server-pid", str(server.proc.pid)]
-    if preload_only:
-        args.append("--preload-only")
-    if checkpoint:
-        args += ["--checkpoint", str(checkpoint),
-                 "--rss-pid", str(server.proc.pid)]
+        args.append("--signal-host")
     t_spawn = time.perf_counter()
     gen = kids.spawn(args)
     if gen.wait(timeout=150) != 0:
@@ -261,7 +256,7 @@ def _http_phase(
         result = json.load(fp)
     # set-up: server boot, then load-generator start, connections, file
     # creation and starting history, up to the first timed operation
-    result["setup_s"] = server.boot_s + result["t_first_timed"] - t_spawn
+    result["setup_wall_s"] = server.boot_s + result["t_first_timed"] - t_spawn
     server.stop()
     host = None
     if host_mode is not None:
@@ -280,76 +275,80 @@ def _attempts(result: dict) -> Tuple[int, int]:
     )
 
 
-def _latency(samples: List[float], name: str, report: List[str]) -> float:
-    """The median of *samples*; the report line adds the highest
-    percentile the sample count supports, with the count."""
+def _latency(samples: List[float], name: str, report: List[str]) -> None:
+    """Report the median of *samples* and the highest percentile the
+    sample count supports, with the count."""
     n = len(samples)
     tail = tail_percentile(n)
     if tail is None:
         raise BenchError(f"{name}: only {n} samples")
-    p50 = percentile(samples, 50)
     report.append(
-        f"{name}: n={n} p50={p50:.3f}ms "
+        f"{name}: n={n} p50={percentile(samples, 50):.3f}ms "
         f"p{tail:g}={percentile(samples, tail):.3f}ms"
     )
-    return p50
+
+
+def _per_append_cpu_ms(result: dict) -> float:
+    return result["window_cpu_s"] / len(result["append_ms"]) * 1e3
 
 
 def run_http(kids, tmp, spec, seed, seconds, report) -> dict:
-    setups = [
-        _http_phase(kids, tmp, spec, seed, 0.0, preload_only=True)[0]
-        for _ in range(SETUPS - 1)
-    ]
-    result, _ = _http_phase(
-        kids, tmp, spec, seed, seconds, checkpoint=spec["checkpoint"]
-    )
-    if "checkpoint_rss_mib" not in result:
-        raise BenchError(
-            f"the window acknowledged {len(result['append_ms'])} appends, "
-            f"fewer than the {spec['checkpoint']} checkpoint"
-        )
-    setups.append(result)
-    attempted, failed = _attempts(result)
-    for extra in setups[:-1]:
-        attempted += _attempts(extra)[0]
-        failed += _attempts(extra)[1]
+    rounds: List[dict] = []
+    timed = 0.0
+    while len(rounds) < MIN_ROUNDS or timed < seconds:
+        result, _ = _http_round(kids, tmp, spec, seed)
+        rounds.append(result)
+        timed += result["scan_s"] + result["window_s"]
+    attempted = sum(_attempts(r)[0] for r in rounds)
+    failed = sum(_attempts(r)[1] for r in rounds)
+    for r in rounds:
+        if not r["append_ms"] or not r["scan_ms"]:
+            raise BenchError("a round completed no appends or no reads")
 
-    appends = result["append_ms"]
-    if spec["mode"] == "append":
-        reads, read_span = result["scan_ms"], result["scan_s"]
-        report.append(
-            "reads: 64 KiB reads cycling over the starting history before "
-            "the window, both connections"
-        )
-    else:
-        reads, read_span = result["read_ms"], result["window_s"]
-        report.append("reads: random 64 KiB ranged reads during the window")
-    a50 = _latency(appends, "append latency", report)
-    r50 = _latency(reads, "read latency", report)
+    per_round = {
+        "append_cpu_ms": [_per_append_cpu_ms(r) for r in rounds],
+        "read_cpu_ms": [r["scan_cpu_s"] / len(r["scan_ms"]) * 1e3 for r in rounds],
+        "cpu_s": [r["scan_cpu_s"] + r["window_cpu_s"] for r in rounds],
+        "rss_mib": [r["rss_mib"] for r in rounds],
+        "setup_s": [r["setup_cpu_s"] for r in rounds],
+    }
+    _latency(
+        [x for r in rounds for x in r["append_ms"]],
+        "append latency (all rounds, wall clock)", report,
+    )
+    _latency(
+        [x for r in rounds for x in r["scan_ms"]],
+        "read latency (all rounds, wall clock)", report,
+    )
     report.append(
         f"failed_frac: {failed}/{attempted} = {failed / attempted:.6f}"
     )
     report.append(
-        f"history: {spec['history']} records preloaded, "
-        f"{result['appends_acked']} acknowledged in total, "
-        f"final file {result['file_bytes']} bytes"
+        f"rounds: {len(rounds)}, each a fresh server with {spec['history']} "
+        f"records preloaded, {spec['scan_reads']} seeded random 64 KiB reads "
+        f"of them, then {spec['appends']} appends"
     )
-    append_ops_s = len(appends) / result["window_s"]
-    metrics = {
-        "append_ops_s": append_ops_s,
-        "append_p50_ms": a50,
-        "read_ops_s": len(reads) / read_span,
-        "read_p50_ms": r50,
-        "rss_mib": result["checkpoint_rss_mib"],
-        "wall_s": 1000.0 / append_ops_s,
-        "setup_s": median([r["setup_s"] for r in setups]),
-    }
+    report.append(
+        "per round, wall clock: appends/s "
+        + ", ".join(f"{len(r['append_ms']) / r['window_s']:.1f}" for r in rounds)
+        + "; reads/s "
+        + ", ".join(f"{len(r['scan_ms']) / r['scan_s']:.1f}" for r in rounds)
+        + "; set-up s "
+        + ", ".join(f"{r['setup_wall_s']:.3f}" for r in rounds)
+    )
+    report.append(
+        "per round, CPU: append_cpu_ms "
+        + ", ".join(f"{v:.3f}" for v in per_round["append_cpu_ms"])
+        + "; read_cpu_ms "
+        + ", ".join(f"{v:.3f}" for v in per_round["read_cpu_ms"])
+    )
+    metrics = {name: median(values) for name, values in per_round.items()}
     return {"metrics": metrics, "attempted": attempted, "failed": failed}
 
 
 def _hist_window_ms(before: dict, after: dict, name: str) -> float:
-    """Mean of histogram *name* over the window, from two ``/metrics``
-    snapshots (count/mean differences)."""
+    """Mean of histogram *name* over the traced scan and window, from two
+    ``/metrics`` snapshots (count/mean differences)."""
     h0 = before["histograms"].get(name, {"count": 0.0, "mean": 0.0})
     h1 = after["histograms"].get(name, {"count": 0.0, "mean": 0.0})
     n = h1["count"] - h0["count"]
@@ -359,10 +358,9 @@ def _hist_window_ms(before: dict, after: dict, name: str) -> float:
 
 
 def run_http_traced(kids, tmp, spec, seed, seconds, report) -> dict:
-    third = seconds / 3.0
-    plain, _ = _http_phase(kids, tmp, spec, seed, third)
-    probed, host = _http_phase(kids, tmp, spec, seed, third, "probe")
-    profiled, prof = _http_phase(kids, tmp, spec, seed, third, "profile")
+    plain, _ = _http_round(kids, tmp, spec, seed)
+    probed, host = _http_round(kids, tmp, spec, seed, "probe")
+    profiled, prof = _http_round(kids, tmp, spec, seed, "profile")
     rate = {
         label: len(r["append_ms"]) / r["window_s"]
         for label, r in (("plain", plain), ("probe", probed), ("profile", profiled))
@@ -377,9 +375,11 @@ def run_http_traced(kids, tmp, spec, seed, seconds, report) -> dict:
         host["spans_in_window"] / requests if requests else 0.0
     )
     layers["obs.tracer.retained_spans"] = float(host["retained_spans"])
-    layers["trace_overhead"] = rate["plain"] / rate["probe"]
+    layers["trace_overhead"] = (
+        _per_append_cpu_ms(probed) / _per_append_cpu_ms(plain)
+    )
     report.append(
-        "appends/s: untraced {plain:.1f}, probed {probe:.1f}, "
+        "appends/s (wall clock): untraced {plain:.1f}, probed {probe:.1f}, "
         "profiled {profile:.1f}".format(**rate)
         + f"; profiled request time {prof['request_time_s']:.2f}s, "
         f"{prof['shares']['named_share']:.1%} of it in named layers"
@@ -421,9 +421,17 @@ def check_series(got: dict, want: dict) -> List[str]:
     return problems
 
 
+def _ready(proc: subprocess.Popen) -> float:
+    """Wait for a figure process's ``ready <cpu seconds>`` line; returns
+    the CPU time its imports took."""
+    word, _, cpu = _readline(proc, 60).partition(" ")
+    if word != "ready":
+        raise BenchError("figure process did not report ready")
+    return float(cpu)
+
+
 def _des_pass(kids, tmp, figs, seed_index, trace="off") -> Tuple[dict, float]:
     out = os.path.join(tmp, f"pass-{len(kids.procs)}.json")
-    t0 = time.perf_counter()
     proc = kids.spawn(
         [PY, os.path.join(HERE, "des_child.py"), "--figs", ",".join(figs),
          "--seed-index", str(seed_index), "--trace", trace,
@@ -431,9 +439,7 @@ def _des_pass(kids, tmp, figs, seed_index, trace="off") -> Tuple[dict, float]:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    if _readline(proc, 60) != "ready":
-        raise BenchError("figure process did not report ready")
-    setup = time.perf_counter() - t0
+    setup = _ready(proc)
     _out, err = proc.communicate(timeout=170)
     if proc.returncode != 0:
         raise BenchError(f"figure process failed: {err.decode().strip()[-800:]}")
@@ -442,15 +448,12 @@ def _des_pass(kids, tmp, figs, seed_index, trace="off") -> Tuple[dict, float]:
 
 
 def _setup_probe(kids) -> float:
-    t0 = time.perf_counter()
     proc = kids.spawn(
         [PY, os.path.join(HERE, "des_child.py")],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    if _readline(proc, 60) != "ready":
-        raise BenchError("figure process did not report ready")
-    setup = time.perf_counter() - t0
+    setup = _ready(proc)
     proc.communicate(timeout=30)
     return setup
 
@@ -468,20 +471,22 @@ def _des_passes(kids, tmp, figs, seed_index, seconds, want) -> Tuple[List[dict],
     return passes, setups
 
 
-def _op_costs(passes: List[dict], kinds: Optional[set]) -> Tuple[List[float], List[float]]:
-    """Per-op wall cost (ms) of each experiment — its median wall time
-    over the passes divided by the ops it completed — and the number of
-    ops of *kinds* (None: every kind) behind that cost, over all passes.
-    Every pass runs the same experiments with the same ops."""
-    costs, weights = [], []
-    for i, (_wall, ops) in enumerate(passes[0]["experiments"]):
-        wall = median([doc["experiments"][i][0] for doc in passes])
+def _cpu_per_op_ms(passes: List[dict], kinds: Optional[set]) -> Tuple[float, int]:
+    """CPU milliseconds per simulated op of *kinds* (None: every kind),
+    and the number of those ops in one pass. Each experiment's CPU time
+    (its median over the passes) is split evenly over all the ops it
+    completed; every pass runs the same experiments with the same ops."""
+    cpu_ms, count = 0.0, 0
+    for i, (_cpu, ops) in enumerate(passes[0]["experiments"]):
+        cpu = median([doc["experiments"][i][0] for doc in passes])
         total = sum(ops.values())
         n = total if kinds is None else sum(ops.get(k, 0) for k in kinds)
         if total and n:
-            costs.append(wall / total * 1e3)
-            weights.append(n * len(passes))
-    return costs, weights
+            cpu_ms += cpu / total * n * 1e3
+            count += n
+    if not count:
+        raise BenchError("a pass completed no simulated ops")
+    return cpu_ms / count, count
 
 
 def run_des(kids, tmp, spec, seed, seconds, report) -> dict:
@@ -489,38 +494,27 @@ def run_des(kids, tmp, spec, seed, seconds, report) -> dict:
     passes, setups = _des_passes(kids, tmp, spec["figs"], seed_index, seconds, want)
     while len(setups) < MIN_SETUP_SAMPLES:
         setups.append(_setup_probe(kids))
-    walls = [p["pass_wall_s"] for p in passes]
-    total_wall = sum(walls)
-    counts: Dict[str, int] = {}
-    for doc in passes:
-        for _wall, ops in doc["experiments"]:
-            for kind, n in ops.items():
-                counts[kind] = counts.get(kind, 0) + n
-    metrics = {"wall_s": median(walls)}
-    read_kinds = {"read"} if counts.get("read") else None
-    for prefix, kinds in (("append", {"append"}), ("read", read_kinds)):
-        costs, weights = _op_costs(passes, kinds)
-        n = int(sum(weights))
-        tail = tail_percentile(n)
-        if tail is None:
-            raise BenchError(f"only {n} simulated {prefix} ops")
-        metrics[f"{prefix}_ops_s"] = n / total_wall
-        metrics[f"{prefix}_p50_ms"] = weighted_percentile(costs, weights, 50)
+    reads = any(ops.get("read") for _cpu, ops in passes[0]["experiments"])
+    metrics = {
+        "cpu_s": median([p["pass_cpu_s"] for p in passes]),
+        "rss_mib": median([p["peak_rss_mib"] for p in passes]),
+        "setup_s": median(setups),
+    }
+    for prefix, kinds in (("append", {"append"}), ("read", {"read"} if reads else None)):
+        metrics[f"{prefix}_cpu_ms"], n = _cpu_per_op_ms(passes, kinds)
         report.append(
-            f"{prefix}: {n} simulated ops "
-            f"({'all kinds' if kinds is None else '/'.join(sorted(kinds))}), "
-            f"wall-clock cost per op p50={metrics[f'{prefix}_p50_ms']:.4f}ms "
-            f"p{tail:g}={weighted_percentile(costs, weights, tail):.4f}ms"
+            f"{prefix}: {n} simulated ops per pass "
+            f"({'all kinds' if kinds is None else '/'.join(sorted(kinds))})"
         )
-    metrics["rss_mib"] = median([p["peak_rss_mib"] for p in passes])
-    metrics["setup_s"] = median(setups)
     report.append(
         f"passes: {len(passes)}, wall per pass "
-        + ", ".join(f"{w:.3f}s" for w in walls)
+        + ", ".join(f"{p['pass_wall_s']:.3f}s" for p in passes)
+        + ", CPU per pass "
+        + ", ".join(f"{p['pass_cpu_s']:.3f}s" for p in passes)
         + f"; seed index {seed_index}; series match the expected values"
     )
     return {
-        "metrics": {k: metrics[k] for k in END_TO_END},
+        "metrics": metrics,
         "attempted": len(passes) * len(spec["figs"]),
         "failed": 0,
     }
@@ -537,11 +531,11 @@ def run_des_traced(kids, tmp, spec, seed, seconds, report) -> dict:
             raise BenchError(f"{label} pass: " + "; ".join(problems[:5]))
     layers = dict(probed["layers"])
     layers.update(profiled["shares"])
-    base = median([p["pass_wall_s"] for p in plain])
-    layers["trace_overhead"] = probed["pass_wall_s"] / base
+    base = median([p["pass_cpu_s"] for p in plain])
+    layers["trace_overhead"] = probed["pass_cpu_s"] / base
     report.append(
-        f"pass wall: untraced {base:.3f}s, probed {probed['pass_wall_s']:.3f}s, "
-        f"profiled {profiled['pass_wall_s']:.3f}s; "
+        f"CPU per pass: untraced {base:.3f}s, probed {probed['pass_cpu_s']:.3f}s, "
+        f"profiled {profiled['pass_cpu_s']:.3f}s; "
         f"{profiled['shares']['named_share']:.1%} of profiled time in named layers"
     )
     return {

@@ -36,24 +36,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def weighted_percentile(
-    values: Sequence[float], weights: Sequence[float], q: float
-) -> float:
-    """Nearest-rank percentile of *values* where value ``i`` stands for
-    ``weights[i]`` identical samples."""
-    pairs = sorted(zip(values, weights))
-    total = sum(w for _, w in pairs)
-    if total <= 0:
-        raise ValueError("weighted percentile of no samples")
-    target = q / 100.0 * total
-    seen = 0.0
-    for value, weight in pairs:
-        seen += weight
-        if seen >= target - 1e-9:
-            return value
-    return pairs[-1][0]
-
-
 class Tally:
     """Attempted/failed bookkeeping for one load generator.
 

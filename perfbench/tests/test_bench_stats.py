@@ -2,12 +2,14 @@
 
 import argparse
 import asyncio
+import os
 import socket
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
 import loadgen
-from stats import Tally, percentile, tail_percentile, weighted_percentile
+from stats import Tally, percentile, tail_percentile
 
 
 @pytest.mark.parametrize(
@@ -36,9 +38,6 @@ def test_percentiles_are_nearest_rank():
     assert percentile(values, 50) == 50
     assert percentile(values, 99) == 99
     assert percentile(values, 100) == 100
-    assert weighted_percentile([3.0, 1.0, 2.0], [1, 98, 1], 50) == 1.0
-    assert weighted_percentile([3.0, 1.0, 2.0], [1, 98, 1], 99) == 2.0
-    assert weighted_percentile([3.0, 1.0, 2.0], [1, 98, 1], 100) == 3.0
 
 
 def test_tally_counts_5xx_transport_and_refused_as_failed():
@@ -58,6 +57,15 @@ def test_tally_counts_5xx_transport_and_refused_as_failed():
     assert tally.reasons["connect ConnectionRefusedError"] == 1
 
 
+def _args(**overrides) -> argparse.Namespace:
+    args = dict(
+        port=0, server_pid=os.getpid(), seed=1, history=20, scan_reads=8,
+        appends=6, signal_host=False,
+    )
+    args.update(overrides)
+    return argparse.Namespace(**args)
+
+
 def _closed_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -65,10 +73,7 @@ def _closed_port() -> int:
 
 
 def test_load_generator_counts_refused_connections():
-    args = argparse.Namespace(
-        port=_closed_port(), mode="append", seed=1, seconds=0.1,
-        history=2, server_pid=0,
-    )
+    args = _args(port=_closed_port())
     out = asyncio.run(loadgen.run(args))
     setup = out["tallies"]["setup"]
     assert setup["attempted"] == loadgen.CONNECTIONS
@@ -101,3 +106,54 @@ def test_appender_counts_5xx_and_transport_errors():
     assert app.acked == [(0, 0), (0, 2)]
     assert app.unknown == [(0, 1), (0, 3)]
     assert len(lat) == 2
+
+
+class _FileConn:
+    """An in-memory stand-in for the server's FS routes on one shared
+    file. Ranged reads listed in *short_reads* (by their 1-based count)
+    answer 200 with one byte missing."""
+
+    def __init__(self, short_reads=()):
+        self.data = bytearray()
+        self.short_reads = set(short_reads)
+        self.reads = 0
+
+    async def request(self, method, target, body=b""):
+        await asyncio.sleep(0)  # let the other connection's loop run
+        url = urlsplit(target)
+        if method == "POST" and url.path.startswith("/fs/append/"):
+            self.data += body
+            return 200, b"{}"
+        if method == "POST":
+            return 201, b"{}"
+        if url.path.startswith("/fs/stat/"):
+            return 200, b'{"size": %d}' % len(self.data)
+        query = parse_qs(url.query)
+        offset, length = int(query["offset"][0]), int(query["length"][0])
+        self.reads += 1
+        if self.reads in self.short_reads:
+            length -= 1
+        return 200, bytes(self.data[offset:offset + length])
+
+
+def _drive(short_reads=()):
+    shared = _FileConn(short_reads)
+    return asyncio.run(
+        loadgen._drive(_args(), [shared, shared], {}, Tally(), Tally(), Tally())
+    )
+
+
+def test_load_generator_round_passes_on_an_intact_file():
+    out = _drive()
+    assert out["problems"] == []
+    assert out["appends_acked"] == 26
+    assert len(out["scan_ms"]) == 8
+    assert len(out["append_ms"]) == 6
+    assert out["rss_mib"] > 0
+
+
+def test_short_2xx_read_makes_the_round_fail():
+    out = _drive(short_reads={2})
+    assert len(out["problems"]) == 1
+    assert out["problems"][0].startswith("read of ")
+    assert "answered 200 with" in out["problems"][0]
