@@ -19,8 +19,10 @@ proceed without read-modify-write cycles.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from operator import attrgetter
+from typing import Iterable, Tuple
 
 #: process-wide page id counter (next() on itertools.count is atomic
 #: under the GIL, so no lock is needed for thread safety)
@@ -97,6 +99,18 @@ class Fragment:
 #: a leaf's payload: non-overlapping fragments sorted by start
 PageFragments = Tuple[Fragment, ...]
 
+#: bisect keys over a :data:`PageFragments` list (both strictly increase)
+_frag_start = attrgetter("start")
+_frag_end = attrgetter("end")
+
+
+def first_ending_after(fragments: PageFragments, pos: int) -> int:
+    """Index of the first fragment ending after *pos* (bisect, O(log n)).
+
+    Every fragment before that index lies wholly at or left of *pos*.
+    """
+    return bisect_right(fragments, pos, key=_frag_end)
+
 
 def overlay(previous: Iterable[Fragment], new: Fragment) -> PageFragments:
     """The previous fragment list with *new* written over it.
@@ -106,33 +120,29 @@ def overlay(previous: Iterable[Fragment], new: Fragment) -> PageFragments:
     to *new*. The result stays sorted and non-overlapping.
     """
     # The input is sorted and non-overlapping, so starts AND ends are
-    # strictly increasing: fragments wholly left of the new range come
-    # first, then (at most a few) overlapping ones, then wholly-right
-    # ones. The outside fragments survive by reference — only the
-    # overlap region needs clipping — which keeps the dominant append
-    # pattern (new fragment at the tail) O(list copy) instead of
-    # reconstructing every Fragment.
+    # strictly increasing: two bisects find the overlapped slice
+    # [i, j), and everything outside it survives by reference. Only the
+    # first and last overlapped fragments can leave a clipped remnant,
+    # so the dominant append pattern (new fragment at the tail of a
+    # long list) costs O(log n) lookups plus one tuple copy.
+    prev = previous if isinstance(previous, tuple) else tuple(previous)
     ns, ne = new.start, new.end
-    out: List[Fragment] = []
-    tail: List[Fragment] = []
-    for frag in previous:
-        if frag.end <= ns:
-            out.append(frag)
-        elif frag.start >= ne:
-            tail.append(frag)
-        else:
-            left = frag.clip(0, ns)
-            if left is not None:
-                out.append(left)
-            right = frag.clip(ne, frag.end)
-            if right is not None:
-                tail.append(right)
-    out.append(new)
-    out.extend(tail)
-    for a, b in zip(out, out[1:]):
-        if a.end > b.start:  # pragma: no cover - invariant guard
-            raise AssertionError(f"overlapping fragments {a} / {b}")
-    return tuple(out)
+    i = first_ending_after(prev, ns)
+    j = bisect_left(prev, ne, i, key=_frag_start)
+    mid: PageFragments = (new,)
+    if i < j:
+        first, last = prev[i], prev[j - 1]
+        if first.start < ns:
+            mid = (first.clip(first.start, ns),) + mid
+        if last.end > ne:
+            mid += (last.clip(ne, last.end),)
+    # the untouched head and tail keep their order; only the two seams
+    # around the spliced-in slice can break the invariant
+    if i and prev[i - 1].end > mid[0].start:  # pragma: no cover - guard
+        raise AssertionError(f"overlapping fragments {prev[i - 1]} / {mid[0]}")
+    if j < len(prev) and mid[-1].end > prev[j].start:  # pragma: no cover
+        raise AssertionError(f"overlapping fragments {mid[-1]} / {prev[j]}")
+    return prev[:i] + mid + prev[j:]
 
 
 def fragments_fill(fragments: PageFragments) -> int:

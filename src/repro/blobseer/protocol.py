@@ -47,7 +47,7 @@ from .metadata.segment_tree import (
     iter_all_pages,
     query_pages,
 )
-from .pages import Fragment, fresh_page_id, overlay
+from .pages import Fragment, first_ending_after, fresh_page_id, overlay
 from .provider_manager import ProviderManager
 from .version_manager import Ticket
 
@@ -697,8 +697,11 @@ class BlobSeerProtocol:
             lo = max(offset, base) - base
             hi = min(offset + nbytes, base + ps) - base
             cursor = lo
-            for frag in leaves[p]:
-                piece = frag.clip(cursor, hi)
+            frags = leaves[p]
+            # fragments ending at or before lo cannot contribute: start
+            # the cursor walk at the first one that reaches past it
+            for k in range(first_ending_after(frags, lo), len(frags)):
+                piece = frags[k].clip(cursor, hi)
                 if piece is None:
                     continue
                 if piece.start > cursor:

@@ -32,8 +32,10 @@ simulated runtimes wrap it with their own concurrency-control adapters
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -484,11 +486,24 @@ class VersionManagerCore:
 class ThreadedVersionManager:
     """Mutex-wrapped VM for the threaded (real-bytes) runtime.
 
-    Every assignment registers a lease; its daemon timer starts once the
-    version heads the commit queue and, if it fires before the commit
+    Every assignment registers a lease; its clock starts once the
+    version heads the commit queue and, if it runs out before the commit
     arrives, the version is aborted — so chains of dead appenders unwind
     in order, one lease period each, without ever aborting a live
     appender that was merely queued behind them.
+
+    All leases share one clock: a deadline heap served by a single
+    lazily started daemon thread that sleeps on a condition bound to
+    the VM lock until the earliest deadline. Commits just drop their
+    deadline (stale heap entries are skipped when they surface, and the
+    heap is compacted once they outnumber the live ones), so an append
+    costs a heap push, not an OS thread. The clock thread exits after a
+    whole lease period without leases and is restarted by the next one.
+
+    The blocking waits (:meth:`metadata_turn`, :meth:`publish_wait`)
+    each share their condition check with a non-blocking ``try_*``
+    probe, which lets an event-loop caller skip the blocking call when
+    the answer is already known.
     """
 
     def __init__(
@@ -502,7 +517,13 @@ class ThreadedVersionManager:
         self._turn = threading.Condition(self._lock)
         self._lease_s = config.append_lease_s if config else 30.0
         self._turn_timeout_s = config.metadata_turn_timeout_s if config else 60.0
-        self._lease_timers: Dict[tuple[int, int], threading.Timer] = {}
+        #: live lease deadlines (monotonic seconds), keyed by version
+        self._lease_deadlines: Dict[tuple[int, int], float] = {}
+        #: (deadline, blob_id, version) min-heap; entries whose key no
+        #: longer maps to that deadline in _lease_deadlines are stale
+        self._lease_heap: List[tuple[float, int, int]] = []
+        self._clock_cv = threading.Condition(self._lock)
+        self._clock: Optional[threading.Thread] = None
         self._closed = False
         self._c_lease_expiries = self.obs.registry.counter("vm.lease_expiries")
 
@@ -510,28 +531,23 @@ class ThreadedVersionManager:
 
     @property
     def live_lease_timers(self) -> int:
-        """How many lease timers are currently armed. A long-running
-        server must see this return to zero after its in-flight appends
-        resolve — commits/aborts pop and cancel their timer — and the
-        shutdown path asserts it after :meth:`close`."""
+        """How many leases are currently armed. A long-running server
+        must see this return to zero after its in-flight appends
+        resolve — commits/aborts drop their deadline — and the shutdown
+        path asserts it after :meth:`close`."""
         with self._lock:
-            return len(self._lease_timers)
+            return len(self._lease_deadlines)
 
     def close(self) -> None:
-        """Cancel every outstanding lease timer and refuse to arm new
-        ones (idempotent). A server process calls this on graceful stop:
-        without it, armed ``threading.Timer`` threads for uncommitted
-        tickets keep the interpreter busy until their leases fire, and
-        a timer firing mid-teardown races component teardown."""
+        """Drop every outstanding lease, stop the lease clock and refuse
+        to arm new leases (idempotent). A server process calls this on
+        graceful stop, so no lease can fire mid-teardown and race
+        component teardown."""
         with self._lock:
             self._closed = True
-            timers = list(self._lease_timers.values())
-            self._lease_timers.clear()
-        # cancel outside the lock: a concurrently *firing* timer callback
-        # takes the same lock and would deadlock with us; cancel() on an
-        # already-fired timer is a harmless no-op
-        for timer in timers:
-            timer.cancel()
+            self._lease_deadlines.clear()
+            self._lease_heap.clear()
+            self._clock_cv.notify()
 
     def create_blob(self, page_size: int) -> int:
         with self._lock:
@@ -583,22 +599,69 @@ class ThreadedVersionManager:
             return
         if self._closed:
             return
-        key = (blob_id, version)
-        timer = threading.Timer(self._lease_s, self._lease_expired, args=key)
-        timer.daemon = True
-        self._lease_timers[key] = timer
-        timer.start()
+        deadline = time.monotonic() + self._lease_s
+        entry = (deadline, blob_id, version)
+        self._lease_deadlines[(blob_id, version)] = deadline
+        heapq.heappush(self._lease_heap, entry)
+        self._compact_leases_locked()
+        if self._clock is None:
+            self._clock = threading.Thread(
+                target=self._run_lease_clock, name="vm-lease-clock", daemon=True
+            )
+            self._clock.start()
+        elif len(self._lease_heap) == 1:
+            # deadlines only grow (one lease length on a monotonic
+            # clock), so only an idle clock needs waking
+            self._clock_cv.notify()
 
-    def _lease_expired(self, blob_id: int, version: int) -> None:
-        with self._turn:
-            self._lease_timers.pop((blob_id, version), None)
-            record = self.core.blob(blob_id).versions.get(version)
-            if record is None or record.committed:
-                return
-            self._c_lease_expiries.inc()
-            lease_expired(self.obs.tracer, blob_id, version)
-            self._abort_when_possible_locked(blob_id, version)
-            self._turn.notify_all()
+    def _drop_lease_locked(self, blob_id: int, version: int) -> None:
+        """Disarm a lease; its heap entry goes stale and is skipped."""
+        if self._lease_deadlines.pop((blob_id, version), None) is not None:
+            self._compact_leases_locked()
+
+    def _compact_leases_locked(self) -> None:
+        """Purge stale entries once they outnumber the live leases, so
+        the heap stays within 2·live + 64 entries (amortized O(1))."""
+        heap, live = self._lease_heap, self._lease_deadlines
+        if len(heap) > 2 * len(live) + 64:
+            heap[:] = [e for e in heap if live.get((e[1], e[2])) == e[0]]
+            heapq.heapify(heap)
+
+    def _run_lease_clock(self) -> None:
+        """The lease clock thread: fire deadlines in order; exit once no
+        lease has been armed for a whole lease period (or on close)."""
+        heap, live = self._lease_heap, self._lease_deadlines
+        with self._lock:
+            try:
+                while not self._closed:
+                    if not heap:
+                        self._clock_cv.wait(self._lease_s)
+                        if not heap:
+                            break
+                        continue
+                    deadline, blob_id, version = heap[0]
+                    key = (blob_id, version)
+                    if live.get(key) != deadline:
+                        heapq.heappop(heap)  # committed or aborted meanwhile
+                        continue
+                    delay = deadline - time.monotonic()
+                    if delay > 0:
+                        self._clock_cv.wait(delay)
+                        continue
+                    heapq.heappop(heap)
+                    self._drop_lease_locked(blob_id, version)
+                    self._lease_expired_locked(blob_id, version)
+            finally:
+                self._clock = None
+
+    def _lease_expired_locked(self, blob_id: int, version: int) -> None:
+        record = self.core.blob(blob_id).versions.get(version)
+        if record is None or record.committed:
+            return
+        self._c_lease_expiries.inc()
+        lease_expired(self.obs.tracer, blob_id, version)
+        self._abort_when_possible_locked(blob_id, version)
+        self._turn.notify_all()
 
     def _abort_when_possible_locked(self, blob_id: int, version: int) -> None:
         """Abort now, or as soon as the predecessor resolves.
@@ -635,8 +698,8 @@ class ThreadedVersionManager:
         if timeout is None:
             timeout = self._turn_timeout_s
         with self._turn:
-            deadline_info = self.core.metadata_prereq(blob_id, version)
-            while deadline_info is None:
+            prereq = self._try_metadata_turn_locked(blob_id, version)
+            while prereq is None:
                 if not self._turn.wait(timeout=timeout):
                     self._abort_when_possible_locked(blob_id, version)
                     self._turn.notify_all()
@@ -644,19 +707,29 @@ class ThreadedVersionManager:
                         f"timed out waiting for metadata turn of "
                         f"blob {blob_id} v{version}"
                     )
-                deadline_info = self.core.metadata_prereq(blob_id, version)
-        return deadline_info
+                prereq = self._try_metadata_turn_locked(blob_id, version)
+        return prereq
+
+    def _try_metadata_turn_locked(
+        self, blob_id: int, version: int
+    ) -> Optional[tuple[Optional[NodeKey], int]]:
+        """The metadata-turn condition: the predecessor's ``(root,
+        capacity_pages)`` once it resolved, else ``None``."""
+        return self.core.metadata_prereq(blob_id, version)
+
+    def try_metadata_turn(
+        self, blob_id: int, version: int
+    ) -> Optional[tuple[Optional[NodeKey], int]]:
+        """Non-blocking :meth:`metadata_turn`: its result when the turn
+        is already granted, ``None`` when the call would block."""
+        with self._lock:
+            return self._try_metadata_turn_locked(blob_id, version)
 
     def commit(self, blob_id: int, version: int, root: Optional[NodeKey]) -> None:
-        timer: Optional[threading.Timer] = None
-        try:
-            with self._turn:
-                timer = self._lease_timers.pop((blob_id, version), None)
-                self.core.commit(blob_id, version, root)
-                self._turn.notify_all()
-        finally:
-            if timer is not None:
-                timer.cancel()
+        with self._turn:
+            self._drop_lease_locked(blob_id, version)
+            self.core.commit(blob_id, version, root)
+            self._turn.notify_all()
 
     # -- group commit (batched metadata publication) --------------------------
 
@@ -664,35 +737,43 @@ class ThreadedVersionManager:
         """Group commit step 1: deliver the appender's change map; the
         lease is released (publication is now the leader's job). Returns
         ``("lead", prev_root, prev_capacity, batch)`` or ``("queued",)``."""
-        timer: Optional[threading.Timer] = None
-        try:
-            with self._turn:
-                timer = self._lease_timers.pop((blob_id, version), None)
-                grant = self.core.submit_ready(blob_id, version, changes)
-                if grant is None:
-                    return ("queued",)
-                return ("lead", *grant)
-        finally:
-            if timer is not None:
-                timer.cancel()
+        with self._turn:
+            self._drop_lease_locked(blob_id, version)
+            grant = self.core.submit_ready(blob_id, version, changes)
+            if grant is None:
+                return ("queued",)
+            return ("lead", *grant)
 
     def publish_wait(self, blob_id: int, version: int):
         """Block until a leader publishes this version — or until this
         version is itself promoted to leader (predecessor resolved with
         the batch still unpublished)."""
         with self._turn:
-            while True:
-                record = self.core.blob(blob_id).versions.get(version)
-                if record is not None and record.committed:
-                    return ("published",)
-                grant = self.core.try_lead(blob_id, version)
-                if grant is not None:
-                    return ("lead", *grant)
+            while (outcome := self._try_publish_locked(blob_id, version)) is None:
                 if not self._turn.wait(timeout=self._turn_timeout_s):
                     raise VersionNotReadyError(
                         f"timed out waiting for publication of "
                         f"blob {blob_id} v{version}"
                     )
+            return outcome
+
+    def _try_publish_locked(self, blob_id: int, version: int):
+        """The publish-wait condition: ``("published",)``, a lead grant
+        ``("lead", prev_root, prev_capacity, batch)``, or ``None`` while
+        the version is still queued behind an unresolved predecessor."""
+        record = self.core.blob(blob_id).versions.get(version)
+        if record is not None and record.committed:
+            return ("published",)
+        grant = self.core.try_lead(blob_id, version)
+        if grant is not None:
+            return ("lead", *grant)
+        return None
+
+    def try_publish_wait(self, blob_id: int, version: int):
+        """Non-blocking :meth:`publish_wait`: its outcome when already
+        decided, ``None`` when the call would block."""
+        with self._lock:
+            return self._try_publish_locked(blob_id, version)
 
     def publish_batch(self, blob_id: int, versions, root, tree_size: int) -> None:
         """Group commit step 2: land the leader's batch and wake waiters."""

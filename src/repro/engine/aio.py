@@ -18,13 +18,16 @@ identical to the other two engines for the same scenario, which is what
 The one genuinely asyncio-specific concern is *blocking* endpoint
 methods. Control calls are short critical sections (dictionary updates
 under a mutex) and run inline on the loop; but ``engine.wait`` ops —
-the metadata-turn and publish waits — park on a ``threading.Condition``
-inside the version manager until **another** client's commit signals
-them. Running those inline would wedge the whole loop, so wait ops are
-shipped to a dedicated thread pool. Progress never *requires* more than
-one pool slot: the commits that release waiters run inline on the loop,
-so a saturated pool only queues waiters (latency), it cannot deadlock
-them.
+the metadata-turn and publish waits — may park on a
+``threading.Condition`` inside the version manager until **another**
+client's commit signals them. Running a parked wait inline would wedge
+the whole loop, so a wait first runs the endpoint's non-blocking probe
+(``try_<method>``, when the endpoint has one) inline, and only a wait
+that would really block is shipped to a dedicated thread pool — an
+uncontended append never leaves the loop. Progress never *requires*
+more than one pool slot: the commits that release waiters run inline on
+the loop, so a saturated pool only queues waiters (latency), it cannot
+deadlock them.
 """
 
 from __future__ import annotations
@@ -68,11 +71,11 @@ class AsyncioEngine(Engine):
         retry: Optional[RetryPolicy] = None,
         max_wait_threads: int = 256,
     ) -> None:
-        """*max_wait_threads* bounds the pool that carries blocking
-        ``wait`` ops — size it at the expected number of concurrently
-        queued appenders (threads parked on a condition variable are
-        cheap; an undersized pool adds queueing latency, never
-        deadlock)."""
+        """*max_wait_threads* bounds the pool that carries the ``wait``
+        ops that would block — size it at the expected number of
+        concurrently queued appenders (threads parked on a condition
+        variable are cheap; an undersized pool adds queueing latency,
+        never deadlock)."""
         self.retry = retry or THREADED_RETRY
         self._seed = seed
         self._control: dict[str, Any] = {}
@@ -137,8 +140,9 @@ class AsyncioEngine(Engine):
     # -- wiring -------------------------------------------------------------
 
     def bind(self, name: str, adapter: Any) -> None:
-        """Register a control endpoint (short calls run on the loop,
-        ``wait`` methods run on the wait pool)."""
+        """Register a control endpoint (short calls run on the loop;
+        ``wait`` methods run on the wait pool unless the endpoint's
+        ``try_<method>`` probe answers them inline)."""
         self._control[name] = adapter
 
     def bind_data(
@@ -222,11 +226,18 @@ class AsyncioEngine(Engine):
         return op
 
     def wait(self, endpoint: str, method: str, *args: Any) -> _AioOp:
-        # a wait blocks until *another* client's call signals it — it
-        # must leave the loop free, so it rides the wait thread pool
+        # a wait that blocks until *another* client's call signals it
+        # must leave the loop free, so it rides the wait thread pool;
+        # one whose condition already holds is answered inline by the
+        # endpoint's non-blocking probe (None = would block)
         adapter = self._control[endpoint]
+        probe = getattr(adapter, "try_" + method, None)
 
         def do():
+            if probe is not None:
+                result = probe(*args)
+                if result is not None:
+                    return result
             fn = getattr(adapter, method)
             return asyncio.get_running_loop().run_in_executor(
                 self._waitpool, lambda: fn(*args)

@@ -38,10 +38,12 @@ reads its p50/p99 tables from.
 
 Shutdown is graceful by contract: :meth:`BlobServer.stop` stops
 accepting, drains (then cancels) open connections, and closes the
-service so the version manager cancels every armed lease timer — a
-long-running process must exit without leaked ``threading.Timer``
-threads, and ``tests/server`` asserts ``live_lease_timers == 0`` after
-a stop.
+service so the version manager drops every armed lease and stops its
+single lease-clock thread — no lease may fire mid-teardown, and
+``tests/server`` asserts ``live_lease_timers == 0`` after a stop.
+Appends cost no thread of their own: leases share that one clock, and
+the engine hands a metadata-turn or publish wait to its wait pool only
+when the wait would block.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class BlobServer:
     async def stop(self, drain_s: float = 2.0) -> None:
         """Graceful stop: close the listener, give open connections
         *drain_s* seconds to finish their in-flight request, cancel the
-        stragglers, then release the service (which drains every armed
-        lease timer) and the engine's wait pool. Idempotent."""
+        stragglers, then release the service (which drops every armed
+        lease and stops the lease clock) and the engine's wait pool.
+        Idempotent."""
         if self._stopped:
             return
         self._stopped = True
@@ -168,7 +171,7 @@ class BlobServer:
 
     @property
     def live_lease_timers(self) -> int:
-        """Armed version-manager lease timers (must be 0 after stop)."""
+        """Armed version-manager leases (must be 0 after stop)."""
         return self.service.version_manager.live_lease_timers
 
     # -- connection loop -----------------------------------------------------

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blobseer import BlobSeerService
 from repro.common.config import BlobSeerConfig
-from repro.common.errors import OutOfRangeReadError, ReplicationError
+from repro.common.errors import (
+    OutOfRangeReadError,
+    PageNotFoundError,
+    ReplicationError,
+)
 
 
 @pytest.fixture()
@@ -124,6 +128,50 @@ class TestReads:
         blob = client.create_blob()
         client.append(blob, b"a" * 1024 + b"b" * 1024)
         assert client.read(blob, 1000, 48) == b"a" * 24 + b"b" * 24
+
+
+class TestReadCursorBisect:
+    """Reads start each leaf's cursor walk at a bisect on fragment ends;
+    a long leaf with a hole in the middle must still read exactly and
+    fail loudly on the hole."""
+
+    REC = 8
+
+    @pytest.fixture()
+    def holed(self):
+        svc = BlobSeerService(
+            BlobSeerConfig(page_size=1024, append_lease_s=0.2),
+            n_providers=3,
+            seed=7,
+        )
+        client = svc.client("c0")
+        blob = client.create_blob()
+        records = [bytes([k]) * self.REC for k in range(50)]
+        for rec in records[:40]:
+            client.append(blob, rec)
+        # a dead appender takes v41; the next append waits out its
+        # lease, which aborts v41 and leaves [320, 328) a permanent hole
+        svc.version_manager.assign_append(blob, self.REC)
+        for rec in records[40:]:
+            client.append(blob, rec)
+        yield client, blob, records
+        svc.close()
+
+    def test_reads_around_the_hole_are_exact(self, holed):
+        client, blob, records = holed
+        hole = 40 * self.REC
+        assert client.size(blob) == hole + 11 * self.REC
+        assert client.read(blob, 0, hole) == b"".join(records[:40])
+        assert client.read(blob, 203, 100) == b"".join(records[:40])[203:303]
+        after = b"".join(records[40:])
+        assert client.read(blob, hole + self.REC, len(after)) == after
+        assert client.read(blob, hole + 13, 20) == after[5:25]
+
+    @pytest.mark.parametrize("lo, n", [(300, 40), (320, 8), (324, 2), (312, 10)])
+    def test_a_gap_still_raises(self, holed, lo, n):
+        client, blob, _records = holed
+        with pytest.raises(PageNotFoundError):
+            client.read(blob, lo, n)
 
 
 class TestLayout:

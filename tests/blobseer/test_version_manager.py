@@ -1,5 +1,6 @@
 """Unit tests for the version manager (core state machine + threaded wrapper)."""
 
+import sys
 import threading
 import time
 
@@ -393,3 +394,182 @@ class TestClose:
         for w in workers:
             w.join()
         assert vm.live_lease_timers == 0
+
+
+class TestLeaseClock:
+    """All leases share one clock thread over a deadline heap: appends
+    must not start OS threads, stale deadlines must not pile up, and
+    the clock must still abort dead appenders and exit on close."""
+
+    def test_many_cycles_start_at_most_one_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=30.0))
+        blob = vm.create_blob(64)
+        for _ in range(1000):
+            ticket = vm.assign_append(blob, 10)
+            vm.commit(blob, ticket.version, root_key(ticket.version))
+        try:
+            assert len(started) <= 1, started
+            assert vm.live_lease_timers == 0
+        finally:
+            vm.close()
+
+    def test_heap_stays_bounded_by_live_leases(self):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=30.0))
+        blob = vm.create_blob(64)
+
+        def check():
+            live = vm.live_lease_timers
+            assert len(vm._lease_heap) <= 2 * live + 64, (
+                len(vm._lease_heap), live
+            )
+
+        try:
+            for _ in range(1000):
+                ticket = vm.assign_append(blob, 10)
+                check()
+                vm.commit(blob, ticket.version, root_key(ticket.version))
+                check()
+            # a queue of waiting versions: only the head holds a lease,
+            # and committing it arms the next one
+            tickets = [vm.assign_append(blob, 10) for _ in range(300)]
+            check()
+            for t in tickets:
+                vm.commit(blob, t.version, root_key(t.version))
+                check()
+        finally:
+            vm.close()
+
+    def test_short_lease_aborts_dead_appender_and_unblocks_successor(self):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0.05))
+        blob = vm.create_blob(64)
+        try:
+            vm.assign_append(blob, 10)  # v1 never commits
+            v2 = vm.assign_append(blob, 10)
+            t0 = time.monotonic()
+            prev_root, _cap = vm.wait_metadata_turn(blob, v2.version, timeout=5)
+            assert time.monotonic() - t0 < 5
+            assert prev_root is None  # v1's hole inherits the empty tree
+            assert vm.get_version(blob, 1).aborted
+            vm.commit(blob, v2.version, root_key(2))
+            assert vm.latest_published(blob).version == 2
+            assert vm.live_lease_timers == 0
+        finally:
+            vm.close()
+
+    def test_close_stops_the_clock_thread(self):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=30.0))
+        blob = vm.create_blob(64)
+        vm.assign_append(blob, 10)
+        clock = vm._clock
+        assert clock is not None and clock.is_alive()
+        vm.close()
+        clock.join(timeout=5)
+        assert not clock.is_alive()
+        assert vm.live_lease_timers == 0
+
+    def test_clock_exits_once_no_lease_is_left(self):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0.05))
+        blob = vm.create_blob(64)
+        ticket = vm.assign_append(blob, 10)
+        clock = vm._clock
+        vm.commit(blob, ticket.version, root_key(1))
+        # the stale deadline surfaces after one lease period; with no
+        # live lease left the clock thread ends instead of idling
+        clock.join(timeout=5)
+        assert not clock.is_alive()
+        # and the next lease restarts it
+        ticket = vm.assign_append(blob, 10)
+        assert vm._clock is not None and vm._clock is not clock
+        vm.close()
+
+
+    def test_concurrent_appenders_and_dead_ones_all_resolve(self):
+        # stress: more threads than cores race assign/commit against the
+        # clock thread's expiries; every version must end committed or
+        # aborted, exactly once, with no lease left behind
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0.05))
+        blob = vm.create_blob(64)
+        n_threads, rounds = 8, 40
+        errors = []
+
+        def appender(i):
+            try:
+                for k in range(rounds):
+                    t = vm.assign_append(blob, 10)
+                    vm.wait_metadata_turn(blob, t.version, timeout=10)
+                    if (i * rounds + k) % 17 == 0:
+                        continue  # dies holding the ticket
+                    try:
+                        vm.commit(blob, t.version, root_key(t.version))
+                    except AppendAbortedError:
+                        pass  # too slow at the queue head: a lost race
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=appender, args=(i,))
+                for i in range(n_threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not errors, errors
+        last = n_threads * rounds
+        deadline = time.monotonic() + 10
+        while vm.latest_published(blob).version < last:
+            assert time.monotonic() < deadline, "dead appenders never expired"
+            time.sleep(0.005)
+        try:
+            state = vm.blob(blob)
+            assert state.next_version == last + 1
+            assert all(state.versions[v].committed for v in range(1, last + 1))
+            assert sum(state.versions[v].aborted for v in range(1, last + 1)) >= (
+                last // 17
+            )
+            assert vm.live_lease_timers == 0
+            assert len(vm._lease_heap) <= 64
+        finally:
+            vm.close()
+
+
+class TestTryProbes:
+    """The non-blocking probes answer exactly what the blocking waits
+    would return, and ``None`` where those would block."""
+
+    def test_try_metadata_turn(self):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0))
+        blob = vm.create_blob(64)
+        vm.assign_append(blob, 10)
+        vm.assign_append(blob, 10)
+        assert vm.try_metadata_turn(blob, 1) == (None, 0)
+        assert vm.try_metadata_turn(blob, 2) is None
+        vm.commit(blob, 1, root_key(1))
+        assert vm.try_metadata_turn(blob, 2) == vm.metadata_turn(blob, 2)
+
+    def test_try_publish_wait(self):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0))
+        blob = vm.create_blob(64)
+        vm.assign_append(blob, 10)
+        vm.assign_append(blob, 10)
+        assert vm.commit_ready(blob, 2, {0: ()}) == ("queued",)
+        assert vm.try_publish_wait(blob, 2) is None
+        lead = vm.commit_ready(blob, 1, {0: ()})
+        assert lead[0] == "lead" and [v for v, *_ in lead[3]] == [1, 2]
+        assert vm.try_publish_wait(blob, 2) is None  # in flight
+        vm.publish_batch(blob, [1, 2], root_key(2), 20)
+        assert vm.try_publish_wait(blob, 2) == ("published",)

@@ -1,11 +1,17 @@
 """Unit tests for the engine layer: payloads, the threaded trampoline,
 the shared replica policy, and both engines' fault primitives."""
 
+import asyncio
+
 import pytest
 
-from repro.common.config import ClusterConfig
+from repro.blobseer import BlobSeerService
+from repro.blobseer.metadata.segment_tree import NodeKey
+from repro.blobseer.version_manager import ThreadedVersionManager
+from repro.common.config import BlobSeerConfig, ClusterConfig
 from repro.common.errors import ProviderUnavailableError, RpcTimeoutError
 from repro.common.rng import substream
+from repro.engine.aio import AsyncioEngine
 from repro.engine.base import Payload
 from repro.engine.des import DesEngine
 from repro.engine.replica import ReplicaSelector
@@ -149,3 +155,75 @@ class TestDesFaults:
         # the client pays the full RPC timeout in simulated time
         assert failed_at["t"] == pytest.approx(eng.retry.rpc_timeout)
         assert obs.registry.counters()["net.rpc_timeouts"] == 1.0
+
+
+class _CountingPool:
+    """Stands in for the asyncio engine's wait pool, counting submits."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.submits = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submits += 1
+        return self.inner.submit(fn, *args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        self.inner.shutdown(*args, **kwargs)
+
+
+class TestAsyncioWaitFastPath:
+    """``AsyncioEngine.wait`` answers a wait whose condition already
+    holds inline, and ships only a wait that would block to its pool."""
+
+    def _engine(self):
+        engine = AsyncioEngine(seed=0)
+        pool = _CountingPool(engine._waitpool)
+        engine._waitpool = pool
+        return engine, pool
+
+    def test_sequential_appends_never_touch_the_wait_pool(self):
+        engine, pool = self._engine()
+        svc = BlobSeerService(
+            BlobSeerConfig(page_size=256), n_providers=3, seed=1, engine=engine
+        )
+        blob = svc.create_blob()
+        records = [bytes([k]) * 100 for k in range(20)]
+
+        async def main():
+            for rec in records:
+                await engine.run(svc.protocol.append("c0", blob, Payload(rec)))
+            return await engine.run(
+                svc.protocol.read("c0", blob, 0, 100 * len(records))
+            )
+
+        _version, data = asyncio.run(main())
+        svc.close()
+        engine.close()
+        assert data == b"".join(records)
+        assert pool.submits == 0
+        assert not pool.inner._threads  # the pool never spawned a thread
+
+    def test_ungranted_turn_parks_in_the_pool_until_predecessor_commits(self):
+        engine, pool = self._engine()
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0))
+        engine.bind("vm", vm)
+        blob = vm.create_blob(64)
+        vm.assign_append(blob, 10)  # v1: slow appender
+        vm.assign_append(blob, 10)  # v2: must wait for v1's metadata
+
+        def wait_turn():
+            return (yield engine.wait("vm", "metadata_turn", blob, 2))
+
+        async def main():
+            task = asyncio.ensure_future(engine.run(wait_turn()))
+            await asyncio.sleep(0.05)
+            parked = not task.done()
+            vm.commit(blob, 1, NodeKey(blob, 1, 0, 1))  # inline, on the loop
+            return parked, await asyncio.wait_for(task, timeout=5)
+
+        parked, turn = asyncio.run(main())
+        engine.close()
+        assert parked
+        assert pool.submits == 1
+        assert turn == (NodeKey(blob, 1, 0, 1), 1)
