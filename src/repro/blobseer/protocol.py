@@ -744,7 +744,6 @@ class BlobSeerProtocol:
                     piece.page_id,
                     piece.data_offset,
                     piece.length,
-                    f"page {piece.page_id}",
                     parent=sp_fetch,
                 )
                 if data is not None:

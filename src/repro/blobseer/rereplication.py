@@ -178,7 +178,6 @@ class HotPageReplicator:
                 page_id,
                 0,
                 nbytes,
-                f"page {page_id}",
             )
             payload = (
                 Payload(data) if data is not None else Payload(nbytes=nbytes)

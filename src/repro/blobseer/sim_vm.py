@@ -136,20 +136,22 @@ class SimVMService:
         fn,
         op: str = "call",
         parent: Optional[Span] = None,
+        args: tuple = (),
     ) -> Event:
         """Direct round trip through the VM's service slot.
 
         Kept for drivers that shape raw VM traffic (e.g. minting a
         ticket they intend to abandon); the protocol core issues its
         own VM calls through the engine. Ticket-assigning ops still arm
-        the append lease.
+        the append lease. The call is ``fn(*args)``, run at the end of
+        the slot's service.
         """
         sp = self.obs.tracer.start(
             f"vm.{op}", cat="blobseer.vm", parent=parent, track=client
         )
         cluster_cfg = self.engine.cluster.config
         done = self.engine.control_slot("vm").round_trip(
-            cluster_cfg.latency, cluster_cfg.version_assign_time, fn
+            cluster_cfg.latency, cluster_cfg.version_assign_time, fn, args
         )
 
         def after(ev: Event) -> None:

@@ -194,9 +194,7 @@ class DesEngine(Engine):
         ctl = self._control[endpoint]
         fn = getattr(ctl.adapter, method)
         service = ctl.method_services.get(method, ctl.service)
-        ev = ctl.slot.round_trip(
-            self.cluster.config.latency, service, lambda: fn(*args)
-        )
+        ev = ctl.slot.round_trip(self.cluster.config.latency, service, fn, args)
         if self._tracer is not None:
             return self._spanned(
                 ev, f"engine.call:{endpoint}.{method}", "engine.call"

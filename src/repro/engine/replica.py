@@ -71,7 +71,7 @@ def sweep_fetch(
     page_id: Any,
     data_offset: int,
     nbytes: int,
-    describe: str,
+    describe: Optional[str] = None,
     parent=None,
 ):
     """Generator: fetch one stored object, failing over across replicas.
@@ -79,7 +79,9 @@ def sweep_fetch(
     Timeouts mark the endpoint dead (sorted last from then on); a
     ``PageNotFoundError`` reply leaves it alive. After each full
     rotation the sweep backs off; when the attempt budget is spent the
-    fetch fails with :class:`~repro.common.errors.ReplicationError`.
+    fetch fails with :class:`~repro.common.errors.ReplicationError`,
+    whose message names the object as *describe* (default
+    ``"page <page_id>"``, formatted only on that failure).
 
     When tracing is on the whole sweep is one ``replica.sweep`` span
     (parented under *parent*) whose children are the per-attempt
@@ -127,6 +129,8 @@ def sweep_fetch(
                 yield engine.sleep(policy.backoff(attempt // n))
         if traced:
             sp.set(attempts=policy.max_attempts, error="ReplicationError")
+        if describe is None:
+            describe = f"page {page_id}"
         raise ReplicationError(
             f"no replica of {describe} is readable "
             f"(endpoints {tuple(endpoints)})"
@@ -156,11 +160,13 @@ class ReadPolicy(ABC):
         page_id: Any,
         data_offset: int,
         nbytes: int,
-        describe: str,
+        describe: Optional[str] = None,
         parent=None,
     ):
         """Generator: fetch one stored object; returns its bytes on
-        engines that materialize data, ``None`` on the DES engine."""
+        engines that materialize data, ``None`` on the DES engine.
+        *describe* names the object in the failure message, as in
+        :func:`sweep_fetch`."""
 
 
 class SweepReadPolicy(ReadPolicy):
@@ -178,7 +184,7 @@ class SweepReadPolicy(ReadPolicy):
         page_id,
         data_offset,
         nbytes,
-        describe,
+        describe=None,
         parent=None,
     ):
         return sweep_fetch(
@@ -226,7 +232,7 @@ class QuorumReadPolicy(ReadPolicy):
         page_id,
         data_offset,
         nbytes,
-        describe,
+        describe=None,
         parent=None,
     ):
         if self._counter is not None:

@@ -118,8 +118,9 @@ def chaos_appends(
                 # it deadlocks.
                 yield blobseer._vm_call(
                     client,
-                    lambda: blobseer.core.assign_append(blob_id, CHUNK),
+                    blobseer.core.assign_append,
                     op="assign_append",
+                    args=(blob_id, CHUNK),
                 )
 
             procs = [

@@ -78,12 +78,9 @@ class Disk:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-
-        def persisted() -> None:
-            self.bytes_written += nbytes
-
         return self._spindle.round_trip(
-            0.0, nbytes / self.write_bandwidth, persisted, notify=notify
+            0.0, nbytes / self.write_bandwidth, self._persisted, (nbytes,),
+            notify=notify,
         )
 
     def read(self, nbytes: int) -> Event:
@@ -106,13 +103,15 @@ class Disk:
             self.env.call_in(nbytes / self.CACHE_BANDWIDTH, copied)
             return done
         self.cache_misses += 1
-
-        def fetched() -> None:
-            self.bytes_read += nbytes
-
         return self._spindle.round_trip(
-            0.0, nbytes / self.read_bandwidth, fetched
+            0.0, nbytes / self.read_bandwidth, self._fetched, (nbytes,)
         )
+
+    def _persisted(self, nbytes: int) -> None:
+        self.bytes_written += nbytes
+
+    def _fetched(self, nbytes: int) -> None:
+        self.bytes_read += nbytes
 
     @property
     def queue_length(self) -> int:

@@ -44,7 +44,8 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         # FIFO of waiters: Request events from generator-based users,
-        # bare grant callables from round_trip's contended arrivals
+        # RPC records (anything with a grant() method) from round_trip's
+        # and batch_round_trips' contended arrivals
         self._waiting: Deque[Any] = deque()
 
     def request(self) -> Request:
@@ -67,11 +68,12 @@ class Resource:
         if self._waiting:
             nxt = self._waiting.popleft()
             # the queue holds Request events (generator-based users) and
-            # bare grant callbacks (round_trip's contended arrivals)
+            # RPC records (round_trip / batch_round_trips contended
+            # arrivals), which take the unit over without a Request
             if nxt.__class__ is Request:
                 nxt.succeed(nxt)
             else:
-                nxt()
+                nxt.grant()
         else:
             if self.in_use <= 0:  # pragma: no cover - defensive
                 raise RuntimeError("release without matching request")
@@ -81,7 +83,8 @@ class Resource:
         self,
         latency: float,
         service: float,
-        fn: Optional[Callable[[], Any]] = None,
+        fn: Optional[Callable[..., Any]] = None,
+        args: tuple = (),
         notify: bool = True,
     ) -> Optional[Event]:
         """One RPC round trip against this resource.
@@ -89,9 +92,12 @@ class Resource:
         Models the standard simulated RPC: one-way *latency* to the
         server, FIFO admission to one unit, *service* seconds holding
         it, then *latency* back. The returned event fires at the reply's
-        arrival with ``fn()``'s result (*fn* runs at the end of service,
-        inside the critical section; if it raises, the event fails at
-        the service point, as the generator-based equivalent would).
+        arrival with ``fn(*args)``'s result (*fn* runs at the end of
+        service, inside the critical section; if it raises, the event
+        fails at the service point, as the generator-based equivalent
+        would). Pass the call as ``fn, args`` rather than wrapping it in
+        a lambda, whose function, cells and closure tuple would ride
+        along with every queued RPC.
 
         With ``notify=False`` the round trip is fire-and-forget: no
         completion event and no reply leg at all (asynchronous
@@ -101,65 +107,31 @@ class Resource:
         This is event-chained rather than process-based on purpose:
         RPCs are the hottest construct in the experiment drivers, and
         skipping the Process/generator/Timeout machinery roughly halves
-        the kernel work per call.
+        the kernel work per call. The whole RPC is one slotted
+        :class:`_RoundTrip` record, which is itself the queue entry of
+        each of its steps and the waiter a contended arrival leaves in
+        the FIFO. An overloaded server (fig8's version manager) holds
+        tens of thousands of queued RPCs, and the cyclic GC re-walks
+        every one of them on each full collection, so the objects per
+        RPC, not just the work per step, set the cost.
         """
         env = self.env
-        done = Event(env) if notify else None
-
-        def serviced() -> None:
-            try:
-                value = fn() if fn is not None else None
-            except Exception as exc:
-                self._release_unit()
-                if done is None:
-                    raise
-                done.fail(exc)
-                return
-            self._release_unit()
-            if done is None:
-                return
-            # fire `done` with the reply exactly one latency later —
-            # equivalent to a Timeout but without a second event
-            done.triggered = True
-            done._value = value
-            env._schedule(done, delay=latency)
-
-        heap = env._heap
-
-        def start_service() -> None:
-            # inlined call_in(service, serviced): this is the hottest
-            # scheduling site in the kernel — the callable is the queue
-            # entry, no wrapper allocation
-            when = env.now + service
-            if when > env.now:
-                env._eid += 1
-                heapq.heappush(heap, (when, env._eid, serviced))
-            else:
-                env._ring.append(serviced)
-
-        def arrive() -> None:
-            if self.in_use < self.capacity:
-                # uncontended grant: take the unit inline, no Request
-                self.in_use += 1
-                start_service()
-            else:
-                # contended: queue a bare grant callback — the unit is
-                # transferred at release time without a Request event
-                self._waiting.append(start_service)
-
+        rpc = _RoundTrip(
+            self, fn, args, Event(env) if notify else None, latency, service
+        )
         if latency:
             when = env.now + latency
             if when > env.now:
                 env._eid += 1
-                heapq.heappush(heap, (when, env._eid, arrive))
+                heapq.heappush(env._heap, (when, env._eid, rpc))
             else:
-                env._ring.append(arrive)
+                env._ring.append(rpc)
         else:
             # a zero-latency round trip (local service, e.g. a disk)
             # joins the queue at the call site, like the generator-based
             # equivalent whose request ran on the bootstrap step
-            arrive()
-        return done
+            rpc()
+        return rpc.done
 
     def cancel(self, request: Request) -> None:
         """Withdraw a not-yet-granted request from the queue."""
@@ -187,6 +159,142 @@ class Resource:
         return result
 
 
+class _RoundTrip:
+    """One :meth:`Resource.round_trip` RPC, as a single slotted record.
+
+    Calling the record runs its next step: before the grant, the
+    arrival at the server (take a unit or join the FIFO); after it, the
+    end of service (run ``fn(*args)``, hand the unit on, schedule the
+    reply). :meth:`grant` starts service once a unit is held.
+    """
+
+    __slots__ = ("res", "fn", "args", "done", "latency", "service", "granted")
+
+    def __init__(
+        self,
+        res: Resource,
+        fn: Optional[Callable[..., Any]],
+        args: tuple,
+        done: Optional[Event],
+        latency: float,
+        service: float,
+    ) -> None:
+        self.res = res
+        self.fn = fn
+        self.args = args
+        self.done = done
+        self.latency = latency
+        self.service = service
+        self.granted = False
+
+    def grant(self) -> None:
+        """Start service on a unit already taken for this RPC."""
+        self.granted = True
+        env = self.res.env
+        when = env.now + self.service
+        if when > env.now:
+            env._eid += 1
+            heapq.heappush(env._heap, (when, env._eid, self))
+        else:
+            env._ring.append(self)
+
+    def __call__(self) -> None:
+        res = self.res
+        if not self.granted:
+            # arrival: an uncontended grant takes the unit inline, a
+            # contended one waits in the FIFO as this record
+            if res.in_use < res.capacity:
+                res.in_use += 1
+                self.grant()
+            else:
+                res._waiting.append(self)
+            return
+        done = self.done
+        fn = self.fn
+        try:
+            value = fn(*self.args) if fn is not None else None
+        except Exception as exc:
+            res._release_unit()
+            if done is None:
+                raise
+            done.fail(exc)
+            return
+        res._release_unit()
+        if done is None:
+            return
+        # fire `done` with the reply exactly one latency later —
+        # equivalent to a Timeout but without a second event
+        done.triggered = True
+        done._value = value
+        res.env._schedule(done, delay=self.latency)
+
+
+class _Batch:
+    """A :func:`batch_round_trips` fan-out: the shared countdown, and
+    (when called) the arrival of every RPC in the batch."""
+
+    __slots__ = ("env", "resources", "remaining", "done", "latency", "service")
+
+    def __init__(
+        self,
+        resources: "list[Resource]",
+        latency: float,
+        service: float,
+        done: Event,
+    ) -> None:
+        self.env = resources[0].env
+        self.resources = resources
+        self.remaining = len(resources)
+        self.done = done
+        self.latency = latency
+        self.service = service
+
+    def __call__(self) -> None:
+        env = self.env
+        heap = env._heap
+        service = self.service
+        for res in self.resources:
+            leg = _BatchLeg(self, res)
+            if res.in_use < res.capacity:
+                res.in_use += 1
+                when = env.now + service
+                if when > env.now:
+                    env._eid += 1
+                    heapq.heappush(heap, (when, env._eid, leg))
+                else:
+                    env._ring.append(leg)
+            else:
+                res._waiting.append(leg)
+
+
+class _BatchLeg:
+    """One RPC of a :class:`_Batch`: the FIFO waiter while contended,
+    the service-completion entry once granted."""
+
+    __slots__ = ("batch", "res")
+
+    def __init__(self, batch: _Batch, res: Resource) -> None:
+        self.batch = batch
+        self.res = res
+
+    def grant(self) -> None:
+        """Start service on a unit handed over at release time."""
+        batch = self.batch
+        batch.env.call_in(batch.service, self)
+
+    def __call__(self) -> None:
+        self.res._release_unit()
+        batch = self.batch
+        batch.remaining -= 1
+        if batch.remaining == 0:
+            # last service done: the straggler's reply lands one
+            # latency later — fire `done` there, no per-RPC reply leg
+            done = batch.done
+            done.triggered = True
+            done._value = None
+            batch.env._schedule(done, delay=batch.latency)
+
+
 def batch_round_trips(
     resources: "list[Resource]",
     latency: float,
@@ -202,47 +310,14 @@ def batch_round_trips(
     instant and in list order, and the last service to end is the last
     reply home (one shared *latency* hop). Collapsing the batch to one
     arrival entry plus a countdown turns the hottest fan-in
-    (metadata-RPC charging) from ~3 queue entries per RPC into ~1.
+    (metadata-RPC charging) from ~3 queue entries per RPC into ~1, and
+    each RPC is one slotted :class:`_BatchLeg` record.
     """
-    env = resources[0].env
-    remaining = len(resources)
-
-    def make_serviced(res: Resource):
-        def serviced() -> None:
-            nonlocal remaining
-            res._release_unit()
-            remaining -= 1
-            if remaining == 0:
-                # last service done: the straggler's reply lands one
-                # latency later — fire `done` there, no per-RPC reply leg
-                done.triggered = True
-                done._value = None
-                env._schedule(done, delay=latency)
-
-        return serviced
-
-    heap = env._heap
-
-    def arrive() -> None:
-        for res in resources:
-            serviced = make_serviced(res)
-            if res.in_use < res.capacity:
-                res.in_use += 1
-                when = env.now + service
-                if when > env.now:
-                    env._eid += 1
-                    heapq.heappush(heap, (when, env._eid, serviced))
-                else:
-                    env._ring.append(serviced)
-            else:
-                res._waiting.append(
-                    lambda s=serviced: env.call_in(service, s)
-                )
-
+    batch = _Batch(resources, latency, service, done)
     if latency:
-        env.call_in(latency, arrive)
+        batch.env.call_in(latency, batch)
     else:
-        arrive()
+        batch()
 
 
 class Lock(Resource):

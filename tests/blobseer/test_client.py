@@ -1,6 +1,7 @@
 """Integration tests for the threaded BlobSeer client: append/write/read
 semantics, versioning snapshots, concurrency, fault tolerance."""
 
+import re
 import threading
 
 import pytest
@@ -274,6 +275,22 @@ class TestFaultTolerance:
             c.read(blob, 0, 100)
         svc.recover_provider(holder)
         assert c.read(blob, 0, 100) == b"x" * 100
+
+    def test_failed_read_names_the_page(self, svc):
+        # the read passes the page id down and the sweep formats the
+        # message only on failure; the text is the same as ever
+        c = svc.client("c")
+        blob = c.create_blob()
+        c.append(blob, b"x" * 100)
+        holder = c.get_layout(blob)[0][1][0]
+        svc.fail_provider(holder)
+        with pytest.raises(ReplicationError) as info:
+            c.read(blob, 0, 100)
+        assert re.fullmatch(
+            r"no replica of page PageId\(.*\) is readable "
+            + re.escape(f"(endpoints ({holder!r},))"),
+            str(info.value),
+        )
 
     def test_write_routes_around_failed_provider(self, svc):
         c = svc.client("c")
